@@ -7,15 +7,18 @@
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
 // fallback, pinned via TestOnlyForceScalar) and the DFS expansion on
-// BFS/degree-remapped graph layouts. A 1-iteration smoke run is wired
+// BFS/degree-remapped graph layouts, and the ClusterQuery similarity
+// matrix on sparse and dense reach sets. A 1-iteration smoke run is wired
 // into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
 
 #include "bfs/bfs.h"
 #include "bfs/msbfs.h"
+#include "core/basic_enum.h"
 #include "core/join.h"
 #include "core/search.h"
+#include "core/similarity.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_remap.h"
@@ -434,6 +437,48 @@ void BM_HalfSearchRemap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(expansions));
 }
 BENCHMARK(BM_HalfSearchRemap)->ArgNames({"remap"})->Arg(0)->Arg(1)->Arg(2);
+
+/// ComputeSimilarityMatrix (Def 4.5, exact mode) on 64 random queries:
+/// case 0 is sparse reach (Watts–Strogatz shaped like the EP stand-in,
+/// 75k vertices, k = 4: Γ sets of a few hundred vertices), case 1 dense
+/// reach (Barabási–Albert, 20k vertices, k = 5: Γ sets near |V|, where
+/// the word-parallel AND is the cheaper loop). The index is rebuilt
+/// outside the timed region every iteration, so no lazily cached key set
+/// carries over from one timed call to the next.
+void BM_SimilarityMatrix(benchmark::State& state) {
+  const bool dense = state.range(0) == 1;
+  static const Graph* sparse_g = [] {
+    Rng rng(19);
+    return new Graph(*GenerateSmallWorld(75000, 10, 0.01, rng));
+  }();
+  static const Graph* dense_g = [] {
+    Rng rng(23);
+    return new Graph(*GenerateBarabasiAlbert(20000, 4, rng));
+  }();
+  const Graph& g = dense ? *dense_g : *sparse_g;
+  Rng rng(29);
+  std::vector<PathQuery> queries;
+  while (queries.size() < 64) {
+    const auto s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    const auto t = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    if (s != t) queries.push_back({s, t, dense ? 5 : 4});
+  }
+  DistanceIndex index;
+  SimilarityScratch scratch;
+  for (auto _ : state) {
+    state.PauseTiming();
+    BuildBatchIndex(g, queries, &index, nullptr);
+    state.ResumeTiming();
+    SimilarityMatrix sim = ComputeSimilarityMatrix(
+        g, queries, index, SimilarityMode::kExact, nullptr, &scratch);
+    benchmark::DoNotOptimize(sim.Get(0, 1));
+  }
+}
+BENCHMARK(BM_SimilarityMatrix)
+    ->ArgNames({"dense"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hcpath

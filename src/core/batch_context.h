@@ -22,7 +22,8 @@ namespace hcpath {
 ///    so map tables, dense arrays, and sorted-key caches survive;
 ///  * `fwd_bfs_scratch` / `bwd_bfs_scratch` — the |V|-sized MS-BFS working
 ///    sets for the two concurrent build directions;
-///  * `similarity` — clustering scratch (sketches / bitsets);
+///  * `similarity` — clustering scratch: per-query key lists, plus bitsets
+///    (exact mode) or sketches (sketch mode);
 ///  * `sinks` — pooled BufferedSinks (path storage, run tables) for the
 ///    streaming ordered merge;
 ///  * `stamps` / `join_scratch` — pooled epoch-stamp tables and join

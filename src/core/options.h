@@ -34,8 +34,8 @@ enum class SharedPruning {
 
 /// How query similarity (Def 4.5) is evaluated for clustering.
 enum class SimilarityMode {
-  kAuto,    ///< exact bitsets when |V| is small, sketches otherwise
-  kExact,   ///< exact |Γ| intersections via bitsets
+  kAuto,    ///< exact while |Q|^2 * |V|/64 <= 1e7, sketches otherwise
+  kExact,   ///< exact |Γ| intersections (key probes or bitset ANDs)
   kSketch,  ///< bottom-k minhash estimate (fast, approximate)
 };
 

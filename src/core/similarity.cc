@@ -10,7 +10,6 @@ namespace hcpath {
 namespace {
 
 constexpr size_t kSketchSize = 256;
-constexpr uint64_t kAutoSketchVertexThreshold = 1ull << 20;
 
 double HarmonicMu(double fwd, double bwd) {
   if (fwd <= 0.0 || bwd <= 0.0) return 0.0;
@@ -73,17 +72,74 @@ double SketchOverlap(const std::vector<uint64_t>& sa, size_t size_a,
       static_cast<double>(shared) / static_cast<double>(denom), 0.0, 1.0);
 }
 
-/// Exact overlap of a small sorted set against a large sorted set via
-/// binary search; used when one side fits entirely in a sketch, where the
-/// windowed estimator above has no samples to work with.
-double SmallSetOverlap(const std::vector<VertexId>& small,
-                       const std::vector<VertexId>& big) {
-  if (small.empty() || big.empty()) return 0.0;
+using Side = SimilarityScratch::Side;
+
+/// Sizes the per-query vectors for n queries. Outer vectors only grow, so a
+/// batch smaller than an earlier one keeps the spare entries' storage.
+void Prepare(Side* d, size_t n, bool sketch) {
+  d->size.assign(n, 0);
+  if (d->keys.size() < n) d->keys.resize(n);
+  if (sketch && d->sketch.size() < n) d->sketch.resize(n);
+  if (!sketch && d->bits.size() < n) d->bits.resize(n);
+}
+
+/// Number of keys of `small` for which `contains` (a membership test on the
+/// other set's bitset or distance map) holds.
+template <typename Contains>
+size_t ProbeCount(const std::vector<VertexId>& small, Contains&& contains) {
   size_t inter = 0;
-  for (VertexId v : small) {
-    if (std::binary_search(big.begin(), big.end(), v)) ++inter;
+  for (VertexId v : small) inter += contains(v) ? 1 : 0;
+  return inter;
+}
+
+size_t AndCount(const DynamicBitset& a, const DynamicBitset& b) {
+  const uint64_t* wa = a.words();
+  const uint64_t* wb = b.words();
+  size_t c = 0;
+  for (size_t w = 0; w < a.num_words(); ++w) {
+    c += static_cast<size_t>(__builtin_popcountll(wa[w] & wb[w]));
   }
-  return static_cast<double>(inter) / static_cast<double>(small.size());
+  return c;
+}
+
+/// Exact-mode overlap of queries i and j in one direction. Sets below
+/// `probe_limit` keep their keys (see the fill step), so the smaller set of
+/// a pair below the limit can always be walked.
+double ExactOverlap(const Side& d, size_t i, size_t j, size_t probe_limit) {
+  const size_t si = d.size[i], sj = d.size[j];
+  const size_t denom = std::min(si, sj);
+  if (denom == 0) return 0.0;
+  size_t inter;
+  if (denom < probe_limit) {
+    const bool i_small = si <= sj;
+    const DynamicBitset& big = d.bits[i_small ? j : i];
+    inter = ProbeCount(d.keys[i_small ? i : j],
+                       [&](VertexId v) { return big.Test(v); });
+  } else {
+    inter = AndCount(d.bits[i], d.bits[j]);
+  }
+  return static_cast<double>(inter) / static_cast<double>(denom);
+}
+
+/// Sketch-mode overlap of queries i and j in one direction, whose maps are
+/// `mi` and `mj`. A set that fits in a sketch entirely is intersected
+/// exactly against the other's map (tiny sets vs huge reaches are common
+/// for low-in-degree targets), where the windowed estimator would have no
+/// samples to work with.
+double SketchModeOverlap(const Side& d, size_t i, size_t j,
+                         const VertexDistMap& mi, const VertexDistMap& mj) {
+  const size_t si = d.size[i], sj = d.size[j];
+  const size_t denom = std::min(si, sj);
+  if (denom == 0) return 0.0;
+  if (denom <= kSketchSize) {
+    const bool i_small = si <= sj;
+    const VertexDistMap& big = i_small ? mj : mi;
+    const size_t inter =
+        ProbeCount(d.keys[i_small ? i : j],
+                   [&](VertexId v) { return big.Contains(v); });
+    return static_cast<double>(inter) / static_cast<double>(denom);
+  }
+  return SketchOverlap(d.sketch[i], si, d.sketch[j], sj);
 }
 
 }  // namespace
@@ -141,105 +197,61 @@ SimilarityMatrix ComputeSimilarityMatrix(
 
   bool use_sketch = mode == SimilarityMode::kSketch;
   if (mode == SimilarityMode::kAuto) {
-    // Exact bitset intersections cost |Q|^2 * |V|/64 word operations plus
-    // the bitset fills; switch to sketches once that exceeds a small
-    // fixed budget.
+    // Word-ANDing every pair's bitsets would cost |Q|^2 * |V|/64 word
+    // operations plus the bitset fills; switch to sketches once that worst
+    // case exceeds a small fixed budget.
     const double exact_ops = static_cast<double>(n) * n *
                              (static_cast<double>(g.NumVertices()) / 64.0);
     use_sketch = exact_ops > 10e6;
   }
 
-  if (use_sketch) {
-    std::vector<std::vector<uint64_t>>& fwd_sketch = sc.fwd_sketch;
-    std::vector<std::vector<uint64_t>>& bwd_sketch = sc.bwd_sketch;
-    std::vector<size_t>& fwd_size = sc.fwd_size;
-    std::vector<size_t>& bwd_size = sc.bwd_size;
-    fwd_sketch.resize(n);
-    bwd_sketch.resize(n);
-    fwd_size.assign(n, 0);
-    bwd_size.assign(n, 0);
-    for_each_row([&](size_t i) {
-      BuildSketch(g, index.FromSourceMap(i), &fwd_sketch[i]);
-      BuildSketch(g, index.ToTargetMap(i), &bwd_sketch[i]);
-      fwd_size[i] = index.FromSourceMap(i).size();
-      bwd_size[i] = index.ToTargetMap(i).size();
-    });
-    // The small-set fallback below reads lazily cached SortedKeys; rows
-    // would race building the same query's cache, so materialize them up
-    // front (one query per task) whenever any set can take that path.
-    bool any_small_fwd = false, any_small_bwd = false;
-    for (size_t i = 0; i < n; ++i) {
-      any_small_fwd = any_small_fwd || fwd_size[i] <= kSketchSize;
-      any_small_bwd = any_small_bwd || bwd_size[i] <= kSketchSize;
-    }
-    if (pool != nullptr && (any_small_fwd || any_small_bwd)) {
-      for_each_row([&](size_t i) {
-        if (any_small_fwd) index.Gamma(i);
-        if (any_small_bwd) index.GammaR(i);
-      });
-    }
-    auto overlap = [&](size_t i, size_t j, bool fwd) {
-      const size_t si = fwd ? fwd_size[i] : bwd_size[i];
-      const size_t sj = fwd ? fwd_size[j] : bwd_size[j];
-      if (std::min(si, sj) <= kSketchSize) {
-        // One side fits in a sketch entirely: intersect it exactly against
-        // the other's full sorted key set (tiny sets vs huge reaches are
-        // common for low-in-degree targets).
-        const auto& gi = fwd ? index.Gamma(i) : index.GammaR(i);
-        const auto& gj = fwd ? index.Gamma(j) : index.GammaR(j);
-        return si <= sj ? SmallSetOverlap(gi, gj) : SmallSetOverlap(gj, gi);
-      }
-      return fwd ? SketchOverlap(fwd_sketch[i], si, fwd_sketch[j], sj)
-                 : SketchOverlap(bwd_sketch[i], si, bwd_sketch[j], sj);
-    };
-    for_each_row([&](size_t i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        sim.Set(i, j, HarmonicMu(overlap(i, j, true), overlap(i, j, false)));
-      }
-    });
-    return sim;
-  }
-
-  // Exact mode: per-endpoint bitsets, word-parallel intersections.
   const size_t nv = g.NumVertices();
-  std::vector<DynamicBitset>& fwd_bits = sc.fwd_bits;
-  std::vector<DynamicBitset>& bwd_bits = sc.bwd_bits;
-  std::vector<size_t>& fwd_size = sc.fwd_size;
-  std::vector<size_t>& bwd_size = sc.bwd_size;
-  fwd_bits.resize(n);
-  bwd_bits.resize(n);
-  fwd_size.assign(n, 0);
-  bwd_size.assign(n, 0);
-  // Safe row-parallel: task i only touches query i's bitsets and lazy key
-  // caches. Resize re-zeroes recycled bitsets while keeping their word
-  // storage, so bits a previous batch left behind cannot leak in.
-  for_each_row([&](size_t i) {
-    fwd_bits[i].Resize(nv);
-    for (VertexId v : index.Gamma(i)) fwd_bits[i].Set(v);
-    fwd_size[i] = index.Gamma(i).size();
-    bwd_bits[i].Resize(nv);
-    for (VertexId v : index.GammaR(i)) bwd_bits[i].Set(v);
-    bwd_size[i] = index.GammaR(i).size();
-  });
-  auto intersect_count = [](const DynamicBitset& a, const DynamicBitset& b) {
-    const uint64_t* wa = a.words();
-    const uint64_t* wb = b.words();
-    size_t c = 0;
-    for (size_t w = 0; w < a.num_words(); ++w) {
-      c += static_cast<size_t>(__builtin_popcountll(wa[w] & wb[w]));
+  // Exact mode walks a pair's smaller set while it is cheaper than the
+  // bitsets' word count; sketch mode walks any set that fits in a sketch.
+  const size_t probe_limit = use_sketch ? kSketchSize + 1 : (nv + 63) / 64;
+  Prepare(&sc.fwd, n, use_sketch);
+  Prepare(&sc.bwd, n, use_sketch);
+  // Fills query i's entry of one direction in one pass over its map. Safe
+  // row-parallel: task i only touches entry i. Bitset Resize re-zeroes a
+  // recycled set while keeping its words, so bits a previous batch left
+  // behind cannot leak in.
+  auto fill = [&](const VertexDistMap& m, Side& d, size_t i) {
+    d.size[i] = m.size();
+    std::vector<VertexId>& keys = d.keys[i];
+    keys.clear();
+    const bool walkable = m.size() < probe_limit;
+    if (use_sketch) {
+      BuildSketch(g, m, &d.sketch[i]);
+      if (walkable) m.ForEach([&](VertexId v, Hop) { keys.push_back(v); });
+      return;
     }
-    return c;
+    DynamicBitset& bits = d.bits[i];
+    bits.Resize(nv);
+    m.ForEach([&](VertexId v, Hop) {
+      bits.Set(v);
+      if (walkable) keys.push_back(v);
+    });
   };
   for_each_row([&](size_t i) {
+    fill(index.FromSourceMap(i), sc.fwd, i);
+    fill(index.ToTargetMap(i), sc.bwd, i);
+  });
+
+  for_each_row([&](size_t i) {
     for (size_t j = i + 1; j < n; ++j) {
-      double f = 0, b = 0;
-      if (fwd_size[i] != 0 && fwd_size[j] != 0) {
-        f = static_cast<double>(intersect_count(fwd_bits[i], fwd_bits[j])) /
-            static_cast<double>(std::min(fwd_size[i], fwd_size[j]));
-      }
-      if (bwd_size[i] != 0 && bwd_size[j] != 0) {
-        b = static_cast<double>(intersect_count(bwd_bits[i], bwd_bits[j])) /
-            static_cast<double>(std::min(bwd_size[i], bwd_size[j]));
+      // µ is 0 when the forward overlap is: skip the backward one and
+      // leave the constructor's 0 in place.
+      double f, b;
+      if (use_sketch) {
+        f = SketchModeOverlap(sc.fwd, i, j, index.FromSourceMap(i),
+                              index.FromSourceMap(j));
+        if (f <= 0.0) continue;
+        b = SketchModeOverlap(sc.bwd, i, j, index.ToTargetMap(i),
+                              index.ToTargetMap(j));
+      } else {
+        f = ExactOverlap(sc.fwd, i, j, probe_limit);
+        if (f <= 0.0) continue;
+        b = ExactOverlap(sc.bwd, i, j, probe_limit);
       }
       sim.Set(i, j, HarmonicMu(f, b));
     }

@@ -37,6 +37,21 @@ class SimilarityMatrix {
   std::vector<double> values_;
 };
 
+/// Reusable working memory for ComputeSimilarityMatrix, one Side per
+/// reach set (Γ from the sources, Γ_R to the targets). A long-lived caller
+/// (BatchContext) passes the same scratch every batch so the per-query key
+/// lists, sketches and |V|-bit sets are recycled instead of reallocated; the
+/// computed matrix is unaffected.
+struct SimilarityScratch {
+  struct Side {
+    std::vector<size_t> size;                    // |Γ| per query
+    std::vector<std::vector<VertexId>> keys;     // Γ unordered, probe sides only
+    std::vector<std::vector<uint64_t>> sketch;   // sketch mode
+    std::vector<DynamicBitset> bits;             // exact mode
+  };
+  Side fwd, bwd;
+};
+
 /// µ(qA, qB): harmonic mean of the forward and backward neighborhood
 /// overlap coefficients
 ///   o = |Γ(qA) ∩ Γ(qB)| / min(|Γ(qA)|, |Γ(qB)|),
@@ -44,23 +59,26 @@ class SimilarityMatrix {
 /// the batch index, reusing the BFS work exactly as the paper prescribes
 /// ("we do not need to compute Γ(q) ... specialized for query clustering").
 ///
-/// `mode` chooses exact bitset intersections or bottom-k minhash sketches
-/// (kAuto picks sketches on graphs above ~1M vertices).
+/// `mode` chooses exact intersections or bottom-k minhash sketches (kAuto
+/// picks sketches once |Q|^2 * |V|/64 exceeds 1e7 word operations).
 ///
-/// With a pool, the per-query set materialization and the O(|Q|^2) pair
-/// loop run row-parallel; every pair is computed by exactly one task, so
-/// the matrix is identical to the sequential one.
-/// Reusable working memory for ComputeSimilarityMatrix: per-query sketches
-/// in sketch mode, per-endpoint bitsets in exact mode. A long-lived caller
-/// (BatchContext) passes the same scratch every batch so the O(|Q|) outer
-/// vectors and the |V|-bit sets are recycled instead of reallocated; the
-/// computed matrix is unaffected.
-struct SimilarityScratch {
-  std::vector<std::vector<uint64_t>> fwd_sketch, bwd_sketch;
-  std::vector<size_t> fwd_size, bwd_size;
-  std::vector<DynamicBitset> fwd_bits, bwd_bits;
-};
-
+/// Cost rule. Each pair costs about the size of its smaller set:
+///  * exact mode counts |A ∩ B| by walking the smaller set's keys and
+///    testing the other set's bitset while min(|A|, |B|) is below the
+///    bitset's word count (~|V|/64), and by a word-parallel AND + popcount
+///    otherwise, where dense reach sets make the AND the cheaper loop;
+///  * sketch mode counts exactly, by walking the smaller set's keys and
+///    probing the other distance map, whenever one set fits in a sketch
+///    (<= 256 vertices); only pairs of two larger sets use the estimator;
+///  * the backward overlap is computed only when the forward one is > 0,
+///    since µ is 0 otherwise.
+/// Both counting routes give the same integer, so the rule changes only the
+/// cost, never a cell. Key lists are gathered once per call, unsorted, from
+/// the index's maps.
+///
+/// With a pool, the per-query setup and the O(|Q|^2) pair loop run
+/// row-parallel; every pair is computed by exactly one task, so the matrix
+/// is identical to the sequential one.
 SimilarityMatrix ComputeSimilarityMatrix(const Graph& g,
                                          const std::vector<PathQuery>& queries,
                                          const DistanceIndex& index,

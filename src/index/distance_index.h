@@ -20,9 +20,9 @@ namespace hcpath {
 ///   dist_Gr(t, v) == dist_G(v, t) <= k - l - 1.
 ///
 /// The index also exposes:
-///  * Γ(q) / Γr(q) (Def 4.4) as the sorted key sets of the per-endpoint
-///    maps, reused by query clustering exactly as the paper reuses the
-///    index construction traversals;
+///  * Γ(q) / Γr(q) (Def 4.4) as the key sets of the per-endpoint maps,
+///    reused by query clustering exactly as the paper reuses the index
+///    construction traversals (Gamma()/GammaR() give them sorted);
 ///  * dense min-distance arrays over all sources/targets, used by the
 ///    detection traversal and by the kGlobalMin shared-pruning mode.
 ///

@@ -771,11 +771,12 @@ void ShardedPathService::DrainBatch(uint64_t batch_id) {
     r.batch_seconds = q.finish_time - q.submit_time;
     if (q.state == QueryState::kCompleted && batch.sink != nullptr) {
       batch.sink->OnPaths(q.index_in_batch, q.paths, 0, q.paths.size());
-      q.paths.Clear();
     } else if (q.state == QueryState::kCompleted && options_.collect_paths) {
       r.paths = std::move(q.paths);
     }
-    q.paths.Clear();
+    // Release the storage, not just the contents: a drained query's record
+    // lives on, and Clear() would keep its path capacity with it.
+    q.paths = PathSet();
     resolved_.emplace_back(qid, std::move(r));
   }
 }
