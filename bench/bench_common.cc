@@ -31,9 +31,6 @@ CommonFlags::CommonFlags() {
   kernel = flags.AddString("kernel", "auto",
                            "membership-probe kernel: auto | stamped | naive "
                            "(all byte-identical; perf comparison knob)");
-  remap = flags.AddString("remap", "none",
-                          "vertex renumbering before enumeration: none | "
-                          "bfs | degree (output identical in original ids)");
 }
 
 void ParseOrDie(CommonFlags& cf, int argc, char** argv) {
@@ -56,12 +53,6 @@ BatchOptions MakeBatchOptions(const CommonFlags& cf) {
     std::exit(2);
   }
   opt.kernel_mode = *kernel;
-  auto remap = ParseRemapMode(*cf.remap);
-  if (!remap.ok()) {
-    std::fprintf(stderr, "%s\n", remap.status().ToString().c_str());
-    std::exit(2);
-  }
-  opt.remap_mode = *remap;
   Status st = opt.Validate();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -103,12 +94,11 @@ Graph LoadDataset(const std::string& name, double scale, uint64_t seed) {
 RunOutcome TimeAlgorithm(const Graph& g,
                          const std::vector<PathQuery>& queries,
                          Algorithm algo, const BatchOptions& base_options,
-                         double time_budget, BatchPathEnumerator* enumerator) {
+                         double time_budget) {
   RunOutcome out;
   BatchOptions options = base_options;
   options.algorithm = algo;
-  BatchPathEnumerator local(g);
-  BatchPathEnumerator& facade = enumerator != nullptr ? *enumerator : local;
+  BatchPathEnumerator facade(g);
   WallTimer timer;
   auto result = facade.Run(queries, options, nullptr);
   out.seconds = timer.ElapsedSeconds();

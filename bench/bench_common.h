@@ -30,7 +30,6 @@ struct CommonFlags {
   double* time_budget;     ///< per-run wall budget in seconds (OT beyond)
   bool* quick;             ///< shrink the sweep for smoke runs
   std::string* kernel;     ///< probe kernel: auto | stamped | naive
-  std::string* remap;      ///< vertex renumbering: none | bfs | degree
 
   CommonFlags();
 };
@@ -62,17 +61,10 @@ struct RunOutcome {
 /// ResourceExhausted (per-query caps) or exceeds `time_budget` reports OT
 /// like the paper. The enumeration itself is not preempted, so budgets
 /// should be paired with max_paths caps for genuinely explosive runs.
-///
-/// Pass `enumerator` (one per dataset) when timing several batches on the
-/// same graph: the facade caches the --remap renumbering across Run
-/// calls, so only the first timed batch pays the per-graph remap build —
-/// the amortization a long-lived PathEngine gets for free. With nullptr
-/// a fresh facade is built (and any remap rebuilt) per call.
 RunOutcome TimeAlgorithm(const Graph& g,
                          const std::vector<PathQuery>& queries,
                          Algorithm algo, const BatchOptions& base_options,
-                         double time_budget,
-                         BatchPathEnumerator* enumerator = nullptr);
+                         double time_budget);
 
 /// "12.345" or "OT".
 std::string FormatTime(const RunOutcome& o);

@@ -6,10 +6,9 @@
 // disjointness check — each on dense-overlap (rejection-heavy) and
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
-// fallback, pinned via TestOnlyForceScalar) and the DFS expansion on
-// BFS/degree-remapped graph layouts, and the ClusterQuery similarity
-// matrix on sparse and dense reach sets. A 1-iteration smoke run is wired
-// into ctest (-L bench).
+// fallback, pinned via TestOnlyForceScalar), and the ClusterQuery
+// similarity matrix on sparse and dense reach sets. A 1-iteration smoke
+// run is wired into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +20,6 @@
 #include "core/similarity.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
-#include "graph/graph_remap.h"
 #include "util/epoch_stamp.h"
 #include "util/rng.h"
 
@@ -407,36 +405,6 @@ BENCHMARK(BM_StampTestBatch)
     ->Args({0, 32})
     ->Args({1, 256})
     ->Args({0, 256});
-
-/// BM_HalfSearch (bounded DFS expansion over the 100k Barabási–Albert
-/// graph) repeated per renumbering, so the cache-locality effect of the
-/// remap orderings on the adjacency walk is measured in isolation:
-/// remap == 0 original ids, 1 BFS order, 2 degree order. Work counters
-/// are identical across the three (RemapParity); only memory layout moves.
-void BM_HalfSearchRemap(benchmark::State& state) {
-  const RemapMode modes[] = {RemapMode::kNone, RemapMode::kBfs,
-                             RemapMode::kDegree};
-  const RemapMode mode = modes[state.range(0)];
-  const Graph& original = BenchGraph();
-  const GraphRemap remap = GraphRemap::Build(original, mode);
-  const Graph& g = remap.is_identity() ? original : remap.remapped();
-  const VertexId start = remap.is_identity() ? 777 : remap.ToNew(777);
-  uint64_t expansions = 0;
-  for (auto _ : state) {
-    HalfSearchSpec spec;
-    spec.start = start;
-    spec.budget = 3;
-    spec.dir = Direction::kForward;
-    PathSet out;
-    BatchStats stats;
-    Status st = RunHalfSearch(g, spec, &out, &stats);
-    benchmark::DoNotOptimize(st.ok());
-    benchmark::DoNotOptimize(out.size());
-    expansions += stats.edges_expanded;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(expansions));
-}
-BENCHMARK(BM_HalfSearchRemap)->ArgNames({"remap"})->Arg(0)->Arg(1)->Arg(2);
 
 /// ComputeSimilarityMatrix (Def 4.5, exact mode) on 64 random queries:
 /// case 0 is sparse reach (Watts–Strogatz shaped like the EP stand-in,

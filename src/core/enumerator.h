@@ -1,7 +1,6 @@
 #ifndef HCPATH_CORE_ENUMERATOR_H_
 #define HCPATH_CORE_ENUMERATOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/options.h"
@@ -27,6 +26,19 @@ struct BatchResult {
   }
 };
 
+class BatchContext;
+
+/// The one place a batch is run: validates `options` and the whole batch
+/// up front (so no algorithm emits anything before rejecting a batch), then
+/// dispatches on options.algorithm — kPathEnum runs PathEnumQuery per query
+/// with `kernel` as its pre-resolved dispatch and sets
+/// stats->total_seconds; the other four run RunBasicEnum / RunBatchEnum
+/// with `ctx` (nullptr = call-local context). The facade, PathEngine and
+/// the sharded router all route through here.
+Status RunPipeline(const Graph& g, const std::vector<PathQuery>& queries,
+                   const BatchOptions& options, const ResolvedKernel& kernel,
+                   PathSink* sink, BatchStats* stats, BatchContext* ctx);
+
 /// Unified façade over every algorithm in the library. Typical use:
 ///
 ///   BatchPathEnumerator enumerator(g);
@@ -44,61 +56,23 @@ class BatchPathEnumerator {
   /// every path to `sink` (when non-null) and returning per-query counts.
   ///
   /// Not thread-safe across concurrent Run calls on one enumerator (the
-  /// remap cache below mutates); intra-batch parallelism lives in the
+  /// kernel cache below mutates); intra-batch parallelism lives in the
   /// engines. Lease one enumerator per concurrent caller.
   StatusOr<BatchResult> Run(const std::vector<PathQuery>& queries,
                             const BatchOptions& options,
                             PathSink* sink = nullptr);
 
  private:
-  /// Returns the remap for `mode`, building it on first use and reusing
-  /// it across Run calls. The renumbering is a per-graph index build
-  /// (like loading), not a per-batch cost: a driver that holds one
-  /// enumerator per graph pays it once, the same amortization PathEngine
-  /// gets by building its remap at engine construction. Keyed on
-  /// (mode, Graph::version()): a driver that assigns a rebuilt graph into
-  /// the referenced object between Run calls gets a fresh remap instead of
-  /// a silently stale renumbering of the dead graph.
-  const GraphRemap& RemapFor(RemapMode mode);
-
-  /// Kernel dispatch for (mode, run graph), resolved once and reused
-  /// across Run calls — the same hoist as the remap cache, keyed the same
-  /// way so a graph swap re-resolves the prefetch gate.
-  const ResolvedKernel& KernelFor(KernelMode mode, const Graph& run_g);
+  /// Kernel dispatch for `mode` on g_, resolved once and reused across Run
+  /// calls. Keyed on (mode, Graph::version()): a driver that assigns a
+  /// rebuilt graph into the referenced object between Run calls gets the
+  /// prefetch gate re-resolved for the new graph.
+  const ResolvedKernel& KernelFor(KernelMode mode);
 
   const Graph& g_;
-  std::unique_ptr<GraphRemap> remap_cache_;
-  RemapMode cached_mode_ = RemapMode::kNone;
-  uint64_t cached_graph_version_ = 0;  ///< 0 = cache empty (versions are >= 1)
   ResolvedKernel kernel_cache_;
   KernelMode kernel_cache_mode_ = KernelMode::kAuto;
   uint64_t kernel_cache_graph_version_ = 0;  ///< 0 = cache empty
-};
-
-/// Sink adapter that translates every emitted path from a renumbered id
-/// space (GraphRemap) back to original ids before forwarding. Interposed
-/// by the remap-aware entry points (BatchPathEnumerator::Run, PathEngine)
-/// between the engines and the caller's sink, so callers always observe
-/// original ids regardless of BatchOptions::remap_mode. Forwards one path
-/// per downstream OnPath call — the same per-path sequence the default
-/// PathSink::OnPaths produces — so emission streams are byte-identical to
-/// an un-remapped run. Not thread-safe (engine emission is serialized by
-/// the input-order merge; see docs/PARALLELISM.md).
-class TranslatingSink : public PathSink {
- public:
-  TranslatingSink(const GraphRemap& remap, PathSink* downstream)
-      : remap_(remap), downstream_(downstream) {}
-
-  void OnPath(size_t query_index, PathView path) override {
-    buf_.assign(path.begin(), path.end());
-    for (VertexId& v : buf_) v = remap_.ToOriginal(v);
-    downstream_->OnPath(query_index, buf_);
-  }
-
- private:
-  const GraphRemap& remap_;
-  PathSink* downstream_;
-  std::vector<VertexId> buf_;  ///< recycled translation buffer
 };
 
 const char* AlgorithmName(Algorithm a);

@@ -6,7 +6,6 @@
 #include <map>
 #include <string>
 
-#include "graph/graph_remap.h"
 #include "util/status.h"
 
 namespace hcpath {
@@ -56,12 +55,9 @@ enum class KernelMode {
 };
 
 const char* KernelModeName(KernelMode m);
-const char* RemapModeName(RemapMode m);
 
 /// Parses "auto" / "stamped" / "naive" (case-insensitive).
 StatusOr<KernelMode> ParseKernelMode(const std::string& name);
-/// Parses "none" / "bfs" / "degree" (case-insensitive).
-StatusOr<RemapMode> ParseRemapMode(const std::string& name);
 
 /// Options controlling a batch run. Defaults mirror the paper's settings
 /// (γ = 0.5, Section V "Settings").
@@ -123,18 +119,11 @@ struct BatchOptions {
   /// Every mode produces byte-identical output; see KernelMode.
   KernelMode kernel_mode = KernelMode::kAuto;
 
-  /// Vertex renumbering applied before enumeration (GraphRemap). Handled
-  /// at the facade (BatchPathEnumerator::Run, PathEngine construction):
-  /// the engines below always see RemapMode::kNone and a graph already in
-  /// the id space they should search, and emitted paths are translated
-  /// back so output is byte-identical in original ids.
-  RemapMode remap_mode = RemapMode::kNone;
-
   /// Range-checks the option values: γ must lie in [0, 1] (Algorithm 2
   /// clusters on a similarity threshold), and min_dominating_budget /
   /// max_dominating_per_query must be non-negative. Called at every
-  /// pipeline entry point (RunBatchEnum, RunBasicEnum,
-  /// BatchPathEnumerator::Run, PathEngine construction), so malformed
+  /// pipeline entry point (RunPipeline, RunBatchEnum, RunBasicEnum,
+  /// PathEngine construction), so malformed
   /// options fail fast with InvalidArgument instead of silently steering
   /// clustering or detection.
   Status Validate() const;

@@ -18,15 +18,11 @@ double HarmonicMu(double fwd, double bwd) {
 
 /// Bottom-k sketch of a vertex set: the k smallest Mix64 hashes, sorted.
 /// Built straight from the distance map to avoid materializing and sorting
-/// the full key set; `hashes` is a recycled output vector. Hashes key on
-/// *original* vertex ids so the sketch — and therefore clustering — is
-/// invariant under a GraphRemap renumbering.
-void BuildSketch(const Graph& g, const VertexDistMap& set,
-                 std::vector<uint64_t>* hashes) {
+/// the full key set; `hashes` is a recycled output vector.
+void BuildSketch(const VertexDistMap& set, std::vector<uint64_t>* hashes) {
   hashes->clear();
   hashes->reserve(set.size());
-  set.ForEach(
-      [&](VertexId v, Hop) { hashes->push_back(Mix64(g.OriginalId(v))); });
+  set.ForEach([&](VertexId v, Hop) { hashes->push_back(Mix64(v)); });
   if (hashes->size() > kSketchSize) {
     std::nth_element(hashes->begin(), hashes->begin() + kSketchSize - 1,
                      hashes->end());
@@ -221,7 +217,7 @@ SimilarityMatrix ComputeSimilarityMatrix(
     keys.clear();
     const bool walkable = m.size() < probe_limit;
     if (use_sketch) {
-      BuildSketch(g, m, &d.sketch[i]);
+      BuildSketch(m, &d.sketch[i]);
       if (walkable) m.ForEach([&](VertexId v, Hop) { keys.push_back(v); });
       return;
     }

@@ -37,7 +37,6 @@ void Graph::CopyFrom(const Graph& other) {
   out_adj_ = other.out_adj_;
   in_offsets_ = other.in_offsets_;
   in_adj_ = other.in_adj_;
-  original_ids_ = other.original_ids_;
   overlay_ = other.overlay_;
   storage_ = other.storage_;
   out_offsets_p_ = other.out_offsets_p_;
@@ -57,7 +56,6 @@ void Graph::MoveFrom(Graph&& other) noexcept {
   out_adj_ = std::move(other.out_adj_);
   in_offsets_ = std::move(other.in_offsets_);
   in_adj_ = std::move(other.in_adj_);
-  original_ids_ = std::move(other.original_ids_);
   overlay_ = std::move(other.overlay_);
   storage_ = std::move(other.storage_);
   out_offsets_p_ = other.out_offsets_p_;
@@ -71,7 +69,6 @@ void Graph::MoveFrom(Graph&& other) noexcept {
   // rather than trusting the stolen pointers, and leave the source as a
   // valid empty graph.
   Rebind();
-  other.original_ids_.clear();
   other.out_offsets_.clear();
   other.out_adj_.clear();
   other.in_offsets_.clear();

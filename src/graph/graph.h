@@ -34,7 +34,7 @@ inline Direction Reverse(Direction d) {
 ///
 /// Construct via GraphBuilder or one of the generators. A graph object is
 /// immutable once built, but the *variable* holding it may be reassigned;
-/// consumers that cache state derived from a graph (GraphRemap in
+/// consumers that cache state derived from a graph (the resolved kernel in
 /// BatchPathEnumerator, the endpoint-distance cache) key on version() to
 /// detect that the object they were built against has been replaced.
 ///
@@ -144,26 +144,7 @@ class Graph {
   }
 
   /// True iff the directed edge (u, v) exists; O(log outdeg(u)).
-  /// Only valid on graphs whose adjacency is sorted by vertex id — i.e.
-  /// not on a renumbered graph from GraphRemap, whose lists are ordered
-  /// by *original* neighbor id instead.
   bool HasEdge(VertexId u, VertexId v) const;
-
-  /// Pre-renumbering id of v on a remapped graph (GraphRemap); identity
-  /// on graphs that were never renumbered. Order-sensitive consumers
-  /// (detection level grouping, similarity sketch hashing) key on this so
-  /// renumbering never changes an observable decision.
-  VertexId OriginalId(VertexId v) const {
-    return original_ids_.empty() ? v : original_ids_[v];
-  }
-
-  /// Attaches the original-id annotation of a renumbered graph;
-  /// `ids[new_id] == original_id`, one entry per vertex. GraphRemap is the
-  /// only intended caller.
-  void SetOriginalIds(std::vector<VertexId> ids) {
-    HCPATH_CHECK_EQ(ids.size(), static_cast<size_t>(NumVertices()));
-    original_ids_ = std::move(ids);
-  }
 
   /// Stage-1 companion to PrefetchNeighbors: pulls v's offset line (flat)
   /// or patch-table slot (overlay) into cache so the stage-2 hint's
@@ -275,7 +256,6 @@ class Graph {
   std::vector<VertexId> out_adj_;
   std::vector<uint64_t> in_offsets_;
   std::vector<VertexId> in_adj_;
-  std::vector<VertexId> original_ids_;  ///< empty on non-renumbered graphs
   std::shared_ptr<const DeltaOverlay> overlay_;  ///< null on flat graphs
   /// Pins external array storage (the mmapped snapshot region); null in
   /// owned and overlay modes.

@@ -41,12 +41,6 @@ namespace hcpath {
 /// excluded), which makes it equal to GraphContentChecksum of the loaded
 /// graph — the content identity the cache spill/restore layer
 /// (index/cache_persist.h) revalidates against.
-///
-/// Remapped graphs: the original-id annotation (Graph::OriginalId) is NOT
-/// serialized — snapshots always hold original-id-space CSR. GraphStore
-/// snapshots satisfy this by construction; callers snapshotting a
-/// remapped graph get back a graph whose ids are its (remapped) vertex
-/// ids with an identity annotation.
 
 /// Field offsets within the header, exported so corruption tests can
 /// craft precise mutations without duplicating the layout.

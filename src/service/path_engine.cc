@@ -6,9 +6,7 @@
 #include <limits>
 #include <utility>
 
-#include "core/basic_enum.h"
-#include "core/batch_enum.h"
-#include "core/path_enum.h"
+#include "core/enumerator.h"
 #include "index/cache_persist.h"
 #include "service/admission_status.h"
 #include "util/timer.h"
@@ -101,11 +99,8 @@ PathEngine::PathEngine(GraphStore* store, const PathEngineOptions& options)
 void PathEngine::Init() {
   if (init_status_.ok()) init_status_ = options_.admission.Validate();
   if (!init_status_.ok()) return;
-  batch_options_ = options_.batch;
-  batch_options_.remap_mode = RemapMode::kNone;
-  // Bootstrap the serving view: one-time layout pass in fixed mode (every
-  // micro-batch reuses the renumbered graph and a distance cache coherent
-  // with it); in store mode the same pass re-runs per snapshot.
+  // Bootstrap the serving view; in store mode ApplyUpdates derives a new
+  // one per snapshot.
   if (store_ != nullptr) {
     view_ = MakeView(store_->Current(), nullptr, 0);
   } else {
@@ -135,10 +130,7 @@ std::shared_ptr<const PathEngine::EngineView> PathEngine::MakeView(
     view->graph = graph;
     view->epoch = epoch;
   }
-  view->remap = std::make_shared<GraphRemap>(
-      GraphRemap::Build(*view->graph, options_.batch.remap_mode));
-  view->kernel =
-      ResolveKernel(options_.batch.kernel_mode, view->run_graph());
+  view->kernel = ResolveKernel(options_.batch.kernel_mode, *view->graph);
   return view;
 }
 
@@ -484,8 +476,8 @@ Status PathEngine::RunBatch(const std::vector<PathQuery>& queries,
   {
     std::lock_guard<std::mutex> lk(run_mu_);
     ctx_.graph_epoch = view->epoch;
-    st = ExecuteBatch(*view, queries, sink != nullptr ? sink : &discard,
-                      &local_stats);
+    st = RunPipeline(*view->graph, queries, options_.batch, view->kernel,
+                     sink != nullptr ? sink : &discard, &local_stats, &ctx_);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -517,27 +509,19 @@ StatusOr<GraphUpdateResult> PathEngine::ApplyUpdates(
   std::shared_ptr<const EngineView> next =
       MakeView(applied->snapshot, nullptr, 0);
   if (options_.enable_distance_cache) {
-    if (next->remap->is_identity()) {
-      // Cone-precise reconciliation: only entries whose capped BFS can
-      // cross a touched edge are dropped; everything else is revalidated
-      // for the new epoch and keeps serving (the tentpole's correctness
-      // core — EndpointDistanceCache::InvalidateUpdated has the argument).
-      std::vector<EndpointDistanceCache::RepairKey> dead;
-      const bool repair = options_.cache_repair_max_keys > 0;
-      cache_.InvalidateUpdated(*old_view->graph, *next->graph,
-                               applied->applied.added,
-                               applied->applied.removed, old_view->epoch,
-                               next->epoch, repair ? &dead : nullptr);
-      // Repair before publishing the view: by the time any query can pin
-      // the new epoch, the repaired entries are already serving it.
-      if (!dead.empty()) RepairCacheEntries(*next, dead);
-    } else {
-      // A non-identity remap was rebuilt for the new snapshot: cache keys
-      // live in the renumbered id space, and the renumbering itself just
-      // changed, so no old entry's key is meaningful anymore (repair keys
-      // would be meaningless too — skip repair, refill lazily).
-      cache_.Invalidate();
-    }
+    // Cone-precise reconciliation: only entries whose capped BFS can cross
+    // a touched edge are dropped; everything else is revalidated for the
+    // new epoch and keeps serving (EndpointDistanceCache::InvalidateUpdated
+    // has the argument).
+    std::vector<EndpointDistanceCache::RepairKey> dead;
+    const bool repair = options_.cache_repair_max_keys > 0;
+    cache_.InvalidateUpdated(*old_view->graph, *next->graph,
+                             applied->applied.added, applied->applied.removed,
+                             old_view->epoch, next->epoch,
+                             repair ? &dead : nullptr);
+    // Repair before publishing the view: by the time any query can pin the
+    // new epoch, the repaired entries are already serving it.
+    if (!dead.empty()) RepairCacheEntries(*next, dead);
   }
   {
     std::lock_guard<std::mutex> vlk(view_mu_);
@@ -624,58 +608,6 @@ void PathEngine::FailOverLaggedQueued(uint64_t new_epoch) {
     r.graph_epoch = pinned;
     item.value.promise.set_value(std::move(r));
   }
-}
-
-Status PathEngine::ExecuteBatch(const EngineView& view,
-                                const std::vector<PathQuery>& queries,
-                                PathSink* sink, BatchStats* stats) {
-  if (view.remap->is_identity()) {
-    return ExecuteBatchOn(view, queries, sink, stats);
-  }
-  // Validate against the ORIGINAL graph before translating, exactly where
-  // an un-remapped batch validates: whole-batch, up front. Messages embed
-  // the caller's ids; after this passes, translation (a bijection) cannot
-  // introduce a validation failure downstream.
-  HCPATH_RETURN_NOT_OK(ValidateQueries(*view.graph, queries));
-  TranslatingSink translating(*view.remap, sink);
-  return ExecuteBatchOn(view, view.remap->TranslateQueries(queries),
-                        &translating, stats);
-}
-
-Status PathEngine::ExecuteBatchOn(const EngineView& view,
-                                  const std::vector<PathQuery>& queries,
-                                  PathSink* sink, BatchStats* stats) {
-  const Graph& g = view.run_graph();
-  switch (batch_options_.algorithm) {
-    case Algorithm::kPathEnum: {
-      // Per-query baseline: no shared index, so the context and distance
-      // cache have nothing to recycle; kept for algorithm parity.
-      HCPATH_RETURN_NOT_OK(batch_options_.Validate());
-      HCPATH_RETURN_NOT_OK(ValidateQueries(g, queries));
-      SingleQueryOptions sq;
-      sq.max_paths = batch_options_.max_paths_per_query;
-      sq.kernel = batch_options_.kernel_mode;
-      sq.resolved = view.kernel;  // dispatch resolved once per view
-      for (size_t i = 0; i < queries.size(); ++i) {
-        HCPATH_RETURN_NOT_OK(
-            PathEnumQuery(g, queries[i], sq, i, sink, stats));
-      }
-      return Status::OK();
-    }
-    case Algorithm::kBasicEnum:
-      return RunBasicEnum(g, queries, batch_options_,
-                          /*optimized_order=*/false, sink, stats, &ctx_);
-    case Algorithm::kBasicEnumPlus:
-      return RunBasicEnum(g, queries, batch_options_,
-                          /*optimized_order=*/true, sink, stats, &ctx_);
-    case Algorithm::kBatchEnum:
-      return RunBatchEnum(g, queries, batch_options_,
-                          /*optimized_order=*/false, sink, stats, &ctx_);
-    case Algorithm::kBatchEnumPlus:
-      return RunBatchEnum(g, queries, batch_options_,
-                          /*optimized_order=*/true, sink, stats, &ctx_);
-  }
-  return Status::Internal("unknown algorithm");
 }
 
 void PathEngine::DispatchLoop() {
@@ -812,7 +744,8 @@ void PathEngine::RunMicroBatch(std::vector<QueueItem> batch,
       WallTimer timer;
       ctx_.graph_epoch = group.view->epoch;
       const Status st =
-          ExecuteBatch(*group.view, queries, &demux, &group_stats);
+          RunPipeline(*group.view->graph, queries, options_.batch,
+                      group.view->kernel, &demux, &group_stats, &ctx_);
       const double group_seconds = timer.ElapsedSeconds();
       for (size_t k = 0; k < group.items.size(); ++k) {
         const size_t i = group.items[k];
@@ -886,7 +819,7 @@ Status PathEngine::SaveDistanceCache(const std::string& path) {
   // this epoch.
   std::lock_guard<std::mutex> update_lk(update_mu_);
   std::shared_ptr<const EngineView> view = CurrentView();
-  return SaveEndpointCacheSpill(cache_, view->epoch, view->run_graph(), path);
+  return SaveEndpointCacheSpill(cache_, view->epoch, *view->graph, path);
 }
 
 StatusOr<size_t> PathEngine::RestoreDistanceCache(const std::string& path) {
@@ -897,8 +830,7 @@ StatusOr<size_t> PathEngine::RestoreDistanceCache(const std::string& path) {
   }
   std::lock_guard<std::mutex> update_lk(update_mu_);
   std::shared_ptr<const EngineView> view = CurrentView();
-  return RestoreEndpointCacheSpill(&cache_, view->epoch, view->run_graph(),
-                                   path);
+  return RestoreEndpointCacheSpill(&cache_, view->epoch, *view->graph, path);
 }
 
 }  // namespace hcpath

@@ -287,9 +287,8 @@ class PathEngine {
   /// Store mode only: applies one batch of edge updates, producing the
   /// store's next snapshot, and reconciles the engine's caches with it —
   /// endpoint-distance entries are invalidated cone-precisely against the
-  /// batch's effective delta (blanket-flushed only when a non-identity
-  /// remap forces a renumbering rebuild), and the per-snapshot remap /
-  /// kernel dispatch are rebuilt. Queries already admitted keep their
+  /// batch's effective delta, and the per-snapshot kernel dispatch is
+  /// re-resolved. Queries already admitted keep their
   /// pinned snapshot; queries submitted after return see the new one.
   /// Concurrent ApplyUpdates calls serialize; batches need not pause.
   /// Returns FailedPrecondition on a fixed-graph engine, otherwise the
@@ -306,19 +305,16 @@ class PathEngine {
 
   /// Spills the endpoint-distance cache to `path` (index/cache_persist.h,
   /// docs/PERSIST.md): every entry valid at the current serving epoch,
-  /// keyed to the current RUN graph's content checksum — the id space the
-  /// cache's keys actually live in, remapped or not. Pair with
+  /// keyed to the current serving graph's content checksum. Pair with
   /// GraphStore::SaveSnapshot taken under the same quiesced epoch for a
   /// consistent checkpoint. FailedPrecondition when the cache is disabled.
   Status SaveDistanceCache(const std::string& path);
 
   /// Restores a spill written by SaveDistanceCache into this engine's
   /// cache, stamped at the current epoch. The spill is revalidated against
-  /// the current run graph's content checksum and refused on mismatch
+  /// the current serving graph's content checksum and refused on mismatch
   /// (FailedPrecondition) — restoring is then exactly a warm cache, never
-  /// a wrong one. The engine must have the same remap_mode the saving
-  /// engine had (same graph + same mode → same deterministic remap →
-  /// same key space). Returns the number of entries resident after the
+  /// a wrong one. Returns the number of entries resident after the
   /// restore.
   StatusOr<size_t> RestoreDistanceCache(const std::string& path);
 
@@ -334,28 +330,21 @@ class PathEngine {
   const PathEngineOptions& options() const { return options_; }
 
  private:
-  /// One immutable serving view: a graph snapshot plus everything the
-  /// pipeline derives from its content — the remap (and with it the
-  /// renumbered run graph) and the resolved kernel dispatch. Built once
+  /// One immutable serving view: a graph snapshot plus the kernel dispatch
+  /// the pipeline resolves from its content. Built once
   /// per snapshot (at construction, then per ApplyUpdates) and shared
   /// read-only by every query pinned to it; the shared_ptr keeps the
   /// snapshot alive until its last pinned query resolves, which is what
   /// the store's deferred GC keys on.
   struct EngineView {
     std::shared_ptr<const GraphSnapshot> snapshot;  ///< null in fixed mode
-    std::shared_ptr<const GraphRemap> remap;
     uint64_t epoch = 0;
-    /// The snapshot's graph in original ids (admission-time validation,
-    /// remap translation); outlives the view via `snapshot` / the fixed
+    /// The snapshot's graph; outlives the view via `snapshot` / the fixed
     /// graph's engine-outliving contract.
     const Graph* graph = nullptr;
-    /// Kernel dispatch resolved once per view (satellite of the same
-    /// hoist the enumerator does), against the run graph.
+    /// Kernel dispatch resolved once per view (the same hoist the
+    /// enumerator does).
     ResolvedKernel kernel;
-
-    const Graph& run_graph() const {
-      return remap->is_identity() ? *graph : remap->remapped();
-    }
   };
 
   struct Pending {
@@ -380,8 +369,8 @@ class PathEngine {
   /// Shared construction tail (view bootstrap, tenant weights, pool,
   /// dispatcher start).
   void Init();
-  /// Derives a serving view from a snapshot's graph (remap build, kernel
-  /// resolution). `snapshot` is null in fixed mode.
+  /// Derives a serving view from a snapshot's graph (kernel resolution).
+  /// `snapshot` is null in fixed mode.
   std::shared_ptr<const EngineView> MakeView(
       std::shared_ptr<const GraphSnapshot> snapshot, const Graph* graph,
       uint64_t epoch) const;
@@ -391,20 +380,6 @@ class PathEngine {
   void DispatchLoop();
   size_t StepDispatchLocked(std::unique_lock<std::mutex>& lk);
   void RunMicroBatch(std::vector<QueueItem> batch, CutReason reason);
-  /// Remap boundary: validates against the view's original graph
-  /// (error-message parity), translates queries, and interposes a
-  /// TranslatingSink so the pipeline below always runs in the view's
-  /// (possibly renumbered) id space while callers only ever see original
-  /// ids. Caller holds run_mu_ and has set ctx_.graph_epoch to the view's
-  /// epoch.
-  Status ExecuteBatch(const EngineView& view,
-                      const std::vector<PathQuery>& queries, PathSink* sink,
-                      BatchStats* stats);
-  /// The algorithm switch proper, running on the view's run graph with
-  /// batch_options_ (remap_mode already cleared).
-  Status ExecuteBatchOn(const EngineView& view,
-                        const std::vector<PathQuery>& queries, PathSink* sink,
-                        BatchStats* stats);
 
   /// True when a query of `cost` bytes fits the queue budgets (an empty
   /// queue always admits).
@@ -477,9 +452,6 @@ class PathEngine {
   MsBfsResult repair_result_;
   std::vector<VertexId> repair_sources_;
   std::vector<Hop> repair_caps_;
-  /// options_.batch with remap_mode cleared to kNone — the pipeline calls
-  /// below must never re-apply the remap the engine already performed.
-  BatchOptions batch_options_;
   EndpointDistanceCache cache_;
 
   /// Serializes pipeline execution (admission batches vs RunBatch): the

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "core/basic_enum.h"
-#include "core/batch_enum.h"
-#include "core/path_enum.h"
+#include "core/enumerator.h"
 #include "service/admission_status.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -107,18 +105,13 @@ void ShardedPathService::Init() {
   init_status_ = options_.Validate();
   if (!init_status_.ok()) return;
   if (clock_ == nullptr) clock_ = &WallClock::Default();
-  batch_options_ = options_.batch;
-  // Shards consume pre-routed single queries; a per-shard renumbering pass
-  // would repay nothing and complicate the parity argument. Same choice as
-  // PathEngine's micro-batches.
-  batch_options_.remap_mode = RemapMode::kNone;
   latency_ring_.assign(kLatencyRingSize, 0.0);
   now_ = clock_->Now();
   shards_.resize(static_cast<size_t>(options_.num_shards));
   stats_.shards.resize(shards_.size());
   for (Shard& shard : shards_) {
     shard.ctx = std::make_unique<BatchContext>();
-    shard.ctx->PoolFor(batch_options_.num_threads);
+    shard.ctx->PoolFor(options_.batch.num_threads);
     shard.busy_until = now_;
     PinShard(&shard);
   }
@@ -135,7 +128,7 @@ void ShardedPathService::PinShard(Shard* shard) {
     shard->graph = fixed_graph_;
     shard->epoch = 0;
   }
-  shard->kernel = ResolveKernel(batch_options_.kernel_mode, *shard->graph);
+  shard->kernel = ResolveKernel(options_.batch.kernel_mode, *shard->graph);
   shard->stats.epoch = shard->epoch;
 }
 
@@ -388,37 +381,11 @@ void ShardedPathService::DispatchAttempt(uint64_t query_id, int shard_id,
 
 Status ShardedPathService::ExecuteOnShard(Shard* shard, const PathQuery& q,
                                           PathSet* paths, uint64_t* count) {
-  const Graph& g = *shard->graph;
-  const std::vector<PathQuery> one{q};
   CollectingSink sink(1);
   BatchStats bstats;
-  Status st;
-  switch (batch_options_.algorithm) {
-    case Algorithm::kPathEnum: {
-      SingleQueryOptions sq;
-      sq.max_paths = batch_options_.max_paths_per_query;
-      sq.kernel = batch_options_.kernel_mode;
-      sq.resolved = shard->kernel;
-      st = PathEnumQuery(g, q, sq, 0, &sink, &bstats);
-      break;
-    }
-    case Algorithm::kBasicEnum:
-      st = RunBasicEnum(g, one, batch_options_, /*optimized_order=*/false,
-                        &sink, &bstats, shard->ctx.get());
-      break;
-    case Algorithm::kBasicEnumPlus:
-      st = RunBasicEnum(g, one, batch_options_, /*optimized_order=*/true,
-                        &sink, &bstats, shard->ctx.get());
-      break;
-    case Algorithm::kBatchEnum:
-      st = RunBatchEnum(g, one, batch_options_, /*optimized_order=*/false,
-                        &sink, &bstats, shard->ctx.get());
-      break;
-    case Algorithm::kBatchEnumPlus:
-      st = RunBatchEnum(g, one, batch_options_, /*optimized_order=*/true,
-                        &sink, &bstats, shard->ctx.get());
-      break;
-  }
+  const Status st = RunPipeline(*shard->graph, {q}, options_.batch,
+                                shard->kernel, &sink, &bstats,
+                                shard->ctx.get());
   if (st.ok()) {
     *count = sink.paths(0).size();
     paths->AppendSet(sink.paths(0));

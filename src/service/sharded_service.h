@@ -51,8 +51,8 @@ struct ShardedServiceOptions {
   int num_shards = 2;
   RoutingPolicy routing = RoutingPolicy::kHash;
 
-  /// Pipeline configuration every shard runs with (remap is forced to
-  /// kNone internally, exactly like PathEngine's micro-batches).
+  /// Pipeline configuration every shard runs with; each dispatch is a
+  /// one-query RunPipeline call.
   BatchOptions batch;
 
   /// Materialize each completed query's paths into QueryResult::paths when
@@ -363,7 +363,6 @@ class ShardedPathService {
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_ = nullptr;
   FaultInjector* injector_ = nullptr;  ///< null = inert (production)
-  BatchOptions batch_options_;  ///< options_.batch with remap forced kNone
 
   mutable std::mutex mu_;
   std::vector<Shard> shards_;

@@ -677,28 +677,27 @@ TEST(DifferentialFuzz, EngineMultiTenantParity) {
   }
 }
 
-/// Remap parity differential: every configuration runs once over the
-/// original vertex ids and once per renumbering (BFS order, degree order)
-/// through the two remap-aware entry points — the BatchPathEnumerator
-/// facade and a long-lived PathEngine (remap applied once at
-/// construction, distance cache in the renumbered space). The renumbered
-/// runs must be byte-identical in original ids: same emission stream,
-/// same Status code and message (invalid-query batches included — queries
-/// are validated against the original graph before translation), same
-/// per-query counts, and identical work counters. Thread counts {1, 4},
-/// all five algorithms, and all three probe kernels are in rotation.
-struct FacadeRun {
+/// Entry-point parity differential: the BatchPathEnumerator facade and a
+/// long-lived PathEngine both dispatch through RunPipeline, so on every
+/// configuration they must agree exactly — same Status code and message
+/// (invalid-query batches reject before anything is emitted, for every
+/// algorithm), same emission stream, same per-query counts, and identical
+/// work counters. Each configuration sweeps all five algorithms, all three
+/// probe kernels and threads {1, 4}, runs its drawn batch plus a poisoned
+/// copy of it, and is capped (max_paths_per_query) about a third of the
+/// time.
+struct EntryPointRun {
   Status status;
   std::vector<RecordingSink::Event> events;
   std::vector<uint64_t> path_counts;
   BatchStats stats;
 };
 
-FacadeRun RunFacade(const Graph& g, const std::vector<PathQuery>& queries,
-                    const BatchOptions& options) {
-  FacadeRun run;
+EntryPointRun RunFacade(BatchPathEnumerator& enumerator,
+                        const std::vector<PathQuery>& queries,
+                        const BatchOptions& options) {
+  EntryPointRun run;
   RecordingSink sink;
-  BatchPathEnumerator enumerator(g);
   auto result = enumerator.Run(queries, options, &sink);
   run.status = result.status();
   if (result.ok()) {
@@ -709,19 +708,22 @@ FacadeRun RunFacade(const Graph& g, const std::vector<PathQuery>& queries,
   return run;
 }
 
-void ExpectRunsEqual(const FacadeRun& remapped, const FacadeRun& base,
-                     const std::string& what) {
-  EXPECT_EQ(remapped.status.code(), base.status.code()) << what;
-  EXPECT_EQ(remapped.status.message(), base.status.message()) << what;
-  EXPECT_EQ(remapped.events, base.events)
-      << what << ": emission streams diverge";
-  EXPECT_EQ(remapped.path_counts, base.path_counts) << what;
-  if (base.status.ok() && remapped.status.ok()) {
-    ExpectCountersEqual(remapped.stats, base.stats, what);
+EntryPointRun RunEngineBatch(PathEngine& engine,
+                             const std::vector<PathQuery>& queries) {
+  EntryPointRun run;
+  RecordingSink sink;
+  run.status = engine.RunBatch(queries, &sink, &run.stats);
+  if (run.status.ok()) {
+    run.path_counts.assign(queries.size(), 0);
+    for (const RecordingSink::Event& e : sink.events()) {
+      ++run.path_counts[e.first];
+    }
   }
+  run.events = sink.events();
+  return run;
 }
 
-void RunOneRemapConfig(uint64_t seed) {
+void RunOneEntryPointConfig(uint64_t seed) {
   Rng rng(seed);
   std::string graph_desc;
   Graph g = RandomGraph(rng, &graph_desc);
@@ -729,78 +731,82 @@ void RunOneRemapConfig(uint64_t seed) {
   std::vector<PathQuery> queries = RandomQueries(g, rng, &invalid);
   bool capped = false;
   BatchOptions opt = RandomOptions(rng, &capped);
-  const Algorithm algos[] = {Algorithm::kPathEnum, Algorithm::kBasicEnum,
-                             Algorithm::kBasicEnumPlus, Algorithm::kBatchEnum,
-                             Algorithm::kBatchEnumPlus};
-  opt.algorithm = algos[rng.NextBounded(5)];
-  const KernelMode kernels[] = {KernelMode::kAuto, KernelMode::kStamped,
-                                KernelMode::kNaive};
-  opt.kernel_mode = kernels[rng.NextBounded(3)];
+  if (!capped && rng.NextBounded(4) == 0) {
+    capped = true;
+    opt.max_paths_per_query = 1 + rng.NextBounded(25);
+  }
+  std::vector<std::vector<PathQuery>> batches = {queries};
+  if (!queries.empty() && !invalid) {
+    // A poisoned copy: a healthy query ahead of the bad one must not emit.
+    std::vector<PathQuery> poisoned = queries;
+    poisoned[rng.NextBounded(poisoned.size())].k = 0;
+    batches.push_back(std::move(poisoned));
+  }
 
   SCOPED_TRACE(graph_desc + " |Q|=" + std::to_string(queries.size()) +
-               " algo=" + AlgorithmName(opt.algorithm) +
-               " kernel=" + KernelModeName(opt.kernel_mode) +
                (invalid ? " [invalid-query]" : "") +
                (capped ? " [capped]" : ""));
 
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    opt.num_threads = threads;
-
-    BatchOptions base_opt = opt;
-    base_opt.remap_mode = RemapMode::kNone;
-    const FacadeRun base = RunFacade(g, queries, base_opt);
-
-    // The engine baseline is a separate reference: for kPathEnum the
-    // facade validates per query inside the loop while the engine
-    // validates the whole batch up front, so their invalid-batch streams
-    // legitimately differ. Remap must preserve each entry point's own
-    // behavior exactly.
-    auto run_engine = [&](RemapMode mode) {
-      BatchOptions eopt = opt;
-      eopt.remap_mode = mode;
-      PathEngineOptions engine_opt;
-      engine_opt.batch = eopt;
-      engine_opt.max_wait_seconds = 0;
-      PathEngine engine(g, engine_opt);
-      EXPECT_TRUE(engine.status().ok()) << engine.status();
-      FacadeRun run;
-      RecordingSink sink;
-      run.status = engine.RunBatch(queries, &sink, &run.stats);
-      run.events = sink.events();
-      return run;
-    };
-    const FacadeRun engine_base = run_engine(RemapMode::kNone);
-
-    for (RemapMode mode : {RemapMode::kBfs, RemapMode::kDegree}) {
-      SCOPED_TRACE(std::string("remap=") + RemapModeName(mode));
-      BatchOptions remap_opt = opt;
-      remap_opt.remap_mode = mode;
-      ExpectRunsEqual(RunFacade(g, queries, remap_opt), base, "facade");
-      ExpectRunsEqual(run_engine(mode), engine_base, "engine");
+  for (Algorithm algo :
+       {Algorithm::kPathEnum, Algorithm::kBasicEnum, Algorithm::kBasicEnumPlus,
+        Algorithm::kBatchEnum, Algorithm::kBatchEnumPlus}) {
+    for (KernelMode kernel :
+         {KernelMode::kAuto, KernelMode::kStamped, KernelMode::kNaive}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string("algo=") + AlgorithmName(algo) +
+                     " kernel=" + KernelModeName(kernel) +
+                     " threads=" + std::to_string(threads));
+        opt.algorithm = algo;
+        opt.kernel_mode = kernel;
+        opt.num_threads = threads;
+        BatchPathEnumerator enumerator(g);
+        PathEngineOptions engine_opt;
+        engine_opt.batch = opt;
+        engine_opt.manual_dispatch = true;
+        PathEngine engine(g, engine_opt);
+        ASSERT_TRUE(engine.status().ok()) << engine.status();
+        for (size_t b = 0; b < batches.size(); ++b) {
+          SCOPED_TRACE(b == 0 ? "drawn batch" : "poisoned batch");
+          const EntryPointRun facade = RunFacade(enumerator, batches[b], opt);
+          const EntryPointRun served = RunEngineBatch(engine, batches[b]);
+          EXPECT_EQ(served.status.code(), facade.status.code());
+          EXPECT_EQ(served.status.message(), facade.status.message());
+          EXPECT_EQ(served.events, facade.events)
+              << "emission streams diverge";
+          EXPECT_EQ(served.path_counts, facade.path_counts);
+          if (b > 0) {
+            EXPECT_EQ(facade.status.code(), StatusCode::kInvalidArgument);
+            EXPECT_TRUE(facade.events.empty())
+                << "a rejected batch must emit nothing";
+          }
+          if (facade.status.ok() && served.status.ok()) {
+            ExpectCountersEqual(served.stats, facade.stats, "entry points");
+          }
+        }
+      }
     }
   }
 }
 
-TEST(DifferentialFuzz, RemapParity) {
-  // Separate seed base so the remap sweep explores configurations
+TEST(DifferentialFuzz, EntryPointParity) {
+  // Separate seed base so the entry-point sweep explores configurations
   // independent of the other suites.
   constexpr uint64_t kBaseSeed = 0x8A5CF7D21E0B43ull;
   if (const char* one = std::getenv("HCPATH_FUZZ_SEED")) {
     const uint64_t seed = std::strtoull(one, nullptr, 0);
     SCOPED_TRACE("HCPATH_FUZZ_SEED=" + std::to_string(seed));
-    RunOneRemapConfig(seed);
+    RunOneEntryPointConfig(seed);
     return;
   }
-  // Each config runs 6 facade + 6 engine sweeps (threads x remap modes);
-  // a quarter of the config budget keeps wall-clock in line.
+  // Each config runs 30 (algorithm, kernel, threads) sweeps through both
+  // entry points; a quarter of the config budget keeps wall-clock in line.
   const int configs = std::max(1, ConfigCount() / 4);
   for (int c = 0; c < configs; ++c) {
     const uint64_t seed = kBaseSeed + static_cast<uint64_t>(c);
-    SCOPED_TRACE("remap config #" + std::to_string(c) +
+    SCOPED_TRACE("entry-point config #" + std::to_string(c) +
                  " — reproduce with HCPATH_FUZZ_SEED=" +
                  std::to_string(seed));
-    RunOneRemapConfig(seed);
+    RunOneEntryPointConfig(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

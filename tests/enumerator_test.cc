@@ -57,17 +57,16 @@ TEST(Enumerator, EmptyBatchIsFine) {
   EXPECT_TRUE(result->path_counts.empty());
 }
 
-/// Regression: RemapFor cached purely on RemapMode, so assigning a rebuilt
-/// graph into the referenced object between Run calls kept translating
-/// queries and paths through the DEAD graph's renumbering — silently wrong
-/// counts. The cache is now keyed on Graph::version() too.
-TEST(Enumerator, RemapSurvivesGraphReassignment) {
+/// Regression: assigning a rebuilt graph into the object behind the
+/// enumerator's reference between Run calls must be observed by the next
+/// Run — the facade's cached kernel dispatch is keyed on Graph::version(),
+/// never on the reference alone.
+TEST(Enumerator, SurvivesGraphReassignment) {
   for (Algorithm algo : {Algorithm::kPathEnum, Algorithm::kBatchEnumPlus}) {
     Graph g = PaperFigure1Graph();
     BatchPathEnumerator enumerator(g);
     BatchOptions opt;
     opt.algorithm = algo;
-    opt.remap_mode = RemapMode::kDegree;  // non-identity renumbering
 
     auto before = enumerator.Run(PaperFigure1Queries(), opt);
     ASSERT_TRUE(before.ok());

@@ -282,7 +282,7 @@ TEST(GraphStore, SnapshotsHaveDistinctGraphVersions) {
   std::shared_ptr<const GraphSnapshot> s0 = store.Current();
   std::vector<EdgeUpdate> batch = {EdgeUpdate::Add(0, 2)};
   ASSERT_TRUE(store.ApplyUpdates(batch).status().ok());
-  // version() is the content-identity key the remap/kernel caches use;
+  // version() is the content-identity key the kernel caches use;
   // distinct snapshots must never collide.
   EXPECT_NE(s0->graph.version(), store.Current()->graph.version());
 }
