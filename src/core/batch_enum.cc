@@ -332,22 +332,29 @@ Status RunBatchEnum(const Graph& g, const std::vector<PathQuery>& queries,
 
   // Phase 1: query clustering (Algorithm 2).
   std::vector<std::vector<size_t>> clusters;
-  {
-    WallTimer cluster_timer;
-    if (options.disable_clustering || n < 2) {
-      clusters.emplace_back();
-      for (size_t i = 0; i < n; ++i) clusters[0].push_back(i);
-    } else {
-      SimilarityMatrix sim =
-          ComputeSimilarityMatrix(g, queries, index, options.similarity_mode,
-                                  pool, &c.similarity);
-      clusters = ClusterQueries(sim, options.gamma);
-    }
+  if (options.disable_clustering || n < 2) {
+    clusters.emplace_back();
+    for (size_t i = 0; i < n; ++i) clusters[0].push_back(i);
+  } else {
+    WallTimer similarity_timer;
+    SimilarityMatrix sim =
+        ComputeSimilarityMatrix(g, queries, index, options.similarity_mode,
+                                pool, &c.similarity);
+    const double similarity_s = similarity_timer.ElapsedSeconds();
+    WallTimer linkage_timer;
+    clusters = ClusterQueries(sim, options.gamma);
+    const double linkage_s = linkage_timer.ElapsedSeconds();
     if (stats != nullptr) {
-      stats->cluster_seconds += cluster_timer.ElapsedSeconds();
-      stats->num_clusters += clusters.size();
+      stats->similarity_seconds += similarity_s;
+      stats->linkage_seconds += linkage_s;
+      stats->cluster_seconds += similarity_s + linkage_s;
+      stats->similarity_pairs += c.similarity.pairs;
     }
   }
+  if (stats != nullptr) stats->num_clusters += clusters.size();
+  // A call-local context has no later batch to recycle the clustering
+  // scratch for: free it before enumeration sets the memory peak.
+  if (ctx == nullptr) local_ctx.similarity = SimilarityScratch();
 
   // Hop budget split per query. The optimized search order (the "+"
   // variants) only applies to queries clustered alone: queries that share

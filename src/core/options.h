@@ -33,8 +33,12 @@ enum class SharedPruning {
 
 /// How query similarity (Def 4.5) is evaluated for clustering.
 enum class SimilarityMode {
-  kAuto,    ///< exact while |Q|^2 * |V|/64 <= 1e7, sketches otherwise
-  kExact,   ///< exact |Γ| intersections (key probes or bitset ANDs)
+  /// The cheapest route by a cost rule on the measured reach-set and
+  /// posting sizes: exact by ScanCount or the exact pair loop, sketched
+  /// only when large overlapping reach sets make the word-ANDs cost more
+  /// than the estimator (core/similarity.h).
+  kAuto,
+  kExact,   ///< exact |Γ| intersections (ScanCount, key probes or bitset ANDs)
   kSketch,  ///< bottom-k minhash estimate (fast, approximate)
 };
 

@@ -8,6 +8,8 @@ namespace hcpath {
 void BatchStats::Accumulate(const BatchStats& other) {
   build_index_seconds += other.build_index_seconds;
   cluster_seconds += other.cluster_seconds;
+  similarity_seconds += other.similarity_seconds;
+  linkage_seconds += other.linkage_seconds;
   detect_seconds += other.detect_seconds;
   enumerate_seconds += other.enumerate_seconds;
   total_seconds += other.total_seconds;
@@ -18,6 +20,7 @@ void BatchStats::Accumulate(const BatchStats& other) {
   join_rejected += other.join_rejected;
   join_index_rebuilds += other.join_index_rebuilds;
   num_clusters += other.num_clusters;
+  similarity_pairs += other.similarity_pairs;
   sharing_nodes += other.sharing_nodes;
   dominating_nodes += other.dominating_nodes;
   sharing_edges += other.sharing_edges;
@@ -37,17 +40,20 @@ void BatchStats::Accumulate(const BatchStats& other) {
 }
 
 std::string BatchStats::ToString() const {
-  char buf[512];
+  char buf[640];
   std::snprintf(
       buf, sizeof(buf),
-      "total=%.3fs (index=%.3fs cluster=%.3fs detect=%.3fs enum=%.3fs) "
-      "paths=%llu expanded=%llu pruned=%llu clusters=%llu "
+      "total=%.3fs (index=%.3fs cluster=%.3fs [similarity=%.3fs "
+      "linkage=%.3fs] detect=%.3fs enum=%.3fs) "
+      "paths=%llu expanded=%llu pruned=%llu clusters=%llu sim_pairs=%llu "
       "nodes=%llu dominating=%llu splices=%llu cached=%llu joinidx=%llu",
-      total_seconds, build_index_seconds, cluster_seconds, detect_seconds,
+      total_seconds, build_index_seconds, cluster_seconds,
+      similarity_seconds, linkage_seconds, detect_seconds,
       enumerate_seconds, static_cast<unsigned long long>(paths_emitted),
       static_cast<unsigned long long>(edges_expanded),
       static_cast<unsigned long long>(edges_pruned),
       static_cast<unsigned long long>(num_clusters),
+      static_cast<unsigned long long>(similarity_pairs),
       static_cast<unsigned long long>(sharing_nodes),
       static_cast<unsigned long long>(dominating_nodes),
       static_cast<unsigned long long>(shortcut_splices),

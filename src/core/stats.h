@@ -11,7 +11,10 @@ namespace hcpath {
 struct BatchStats {
   // --- Fig 9 phases (seconds) ---
   double build_index_seconds = 0;   ///< BuildIndex: multi-source BFSs
-  double cluster_seconds = 0;       ///< ClusterQuery: Algorithm 2
+  double cluster_seconds = 0;       ///< ClusterQuery: Algorithm 2, the sum
+                                    ///< of the two parts below
+  double similarity_seconds = 0;    ///< µ matrix (Def 4.5)
+  double linkage_seconds = 0;       ///< average-linkage merging (Def 4.6)
   double detect_seconds = 0;        ///< IdentifySubquery: Algorithm 3
   double enumerate_seconds = 0;     ///< Enumeration: search + join + output
 
@@ -33,6 +36,7 @@ struct BatchStats {
 
   // --- sharing counters (BatchEnum only) ---
   uint64_t num_clusters = 0;
+  uint64_t similarity_pairs = 0;    ///< query pairs whose overlap was evaluated
   uint64_t sharing_nodes = 0;       ///< HC-s path nodes in all Ψ
   uint64_t dominating_nodes = 0;    ///< non-root nodes (detected sharing)
   uint64_t sharing_edges = 0;

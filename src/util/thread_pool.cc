@@ -135,45 +135,43 @@ void ThreadPool::ParallelFor(size_t n,
     return;
   }
 
+  // The caller owns the loop's state. Bodies hold a plain pointer, and the
+  // last thing each body does is leave `live` under `mu`; the caller
+  // returns only after it has seen `live` reach 0 under that lock. So no
+  // body touches the state once ParallelFor returns, and the stored
+  // exception is destroyed on the calling thread, after the rethrow has
+  // handed it to the caller's handler.
   struct State {
     std::atomic<size_t> next{0};       // first unclaimed index
-    std::atomic<size_t> remaining;     // indices not yet finished
     std::mutex mu;
     std::condition_variable done;
+    size_t live = 0;                   // submitted bodies not yet exited
     std::exception_ptr error;
     size_t error_index;
   };
-  auto state = std::make_shared<State>();
-  state->remaining.store(n, std::memory_order_relaxed);
-  state->error_index = n;
+  State state;
+  state.error_index = n;
 
   // Dynamic-grain scheduling: one self-draining body per worker pulls index
   // ranges off a shared cursor, so a 256-item loop costs ~nw queue
   // operations instead of 256, while skewed items still spread (small
   // grains re-balance; a body stuck on a long item simply claims no more).
   const size_t grain = std::max<size_t>(1, n / (16 * (nw + 1)));
-  auto body = [state, &fn, n, grain] {
+  auto drain = [&fn, n, grain](State* st) {
     while (true) {
-      const size_t begin =
-          state->next.fetch_add(grain, std::memory_order_relaxed);
+      const size_t begin = st->next.fetch_add(grain, std::memory_order_relaxed);
       if (begin >= n) return;
       const size_t end = std::min(begin + grain, n);
       for (size_t i = begin; i < end; ++i) {
         try {
           fn(i);
         } catch (...) {
-          std::lock_guard<std::mutex> lk(state->mu);
-          if (i < state->error_index) {
-            state->error_index = i;
-            state->error = std::current_exception();
+          std::lock_guard<std::mutex> lk(st->mu);
+          if (i < st->error_index) {
+            st->error_index = i;
+            st->error = std::current_exception();
           }
         }
-      }
-      const size_t batch = end - begin;
-      if (state->remaining.fetch_sub(batch, std::memory_order_acq_rel) ==
-          batch) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        state->done.notify_all();
       }
     }
   };
@@ -183,22 +181,35 @@ void ThreadPool::ParallelFor(size_t n,
   // exhausted cursor, and exit.
   const size_t num_grains = (n + grain - 1) / grain;
   const size_t bodies = std::min(nw, num_grains - 1);
-  for (size_t w = 0; w < bodies; ++w) Submit(body);
+  state.live = bodies;
+  State* st = &state;
+  for (size_t w = 0; w < bodies; ++w) {
+    Submit([st, drain] {
+      drain(st);
+      std::lock_guard<std::mutex> lk(st->mu);
+      if (--st->live == 0) st->done.notify_all();
+    });
+  }
   // The caller works too: drain the cursor inline (which also makes nested
   // ParallelFor calls from inside tasks deadlock-free), then keep serving
-  // other queued tasks — e.g. a sibling ParallelFor's bodies — while
-  // stragglers finish. The timed wait is a backstop for the window where
-  // the last ranges are already running on workers and nothing is queued.
-  body();
-  while (state->remaining.load(std::memory_order_acquire) != 0) {
+  // other queued tasks — e.g. a sibling ParallelFor's bodies, or one of its
+  // own bodies no worker has picked up yet — until every body has exited.
+  // Once the cursor is exhausted and all bodies are gone, every index has
+  // run. The timed wait is a backstop for the window where the last ranges
+  // are already running on workers and nothing is queued.
+  drain(st);
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lk(state.mu);
+      if (state.live == 0) break;
+    }
     if (!TryRunOneTask()) {
-      std::unique_lock<std::mutex> lk(state->mu);
-      state->done.wait_for(lk, std::chrono::milliseconds(1), [&state] {
-        return state->remaining.load(std::memory_order_acquire) == 0;
-      });
+      std::unique_lock<std::mutex> lk(state.mu);
+      state.done.wait_for(lk, std::chrono::milliseconds(1),
+                          [&state] { return state.live == 0; });
     }
   }
-  if (state->error) std::rethrow_exception(state->error);
+  if (state.error) std::rethrow_exception(state.error);
 }
 
 }  // namespace hcpath

@@ -40,9 +40,11 @@ class ThreadPool {
   void Submit(std::function<void()> fn);
 
   /// Runs fn(0), ..., fn(n - 1) across the pool and the calling thread,
-  /// returning when all have finished. If any invocations throw, the
-  /// exception of the lowest index is rethrown (deterministic regardless of
-  /// scheduling). Runs inline when the pool has no workers or n <= 1.
+  /// returning when all have finished and every worker task it queued has
+  /// exited, so nothing of the call outlives it. If any invocations throw,
+  /// the exception of the lowest index is rethrown (deterministic
+  /// regardless of scheduling). Runs inline when the pool has no workers or
+  /// n <= 1.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Pops and runs one queued task if any is available; used by blocked

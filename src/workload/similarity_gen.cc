@@ -45,8 +45,15 @@ double MeasureAverageSimilarity(const Graph& g,
   if (queries.size() < 2) return 0;
   DistanceIndex index;
   BuildBatchIndex(g, queries, &index, nullptr);
-  SimilarityMatrix sim =
-      ComputeSimilarityMatrix(g, queries, index, SimilarityMode::kAuto);
+  // A fixed mode rule, not kAuto's cost rule: the generated workloads (and
+  // the benchmarks built on them) must not change when the clustering cost
+  // rule is tuned. Sketches once |Q|^2 * |V|/64 exceeds 1e7, else exact.
+  const double n = static_cast<double>(queries.size());
+  const bool sketch =
+      n * n * (static_cast<double>(g.NumVertices()) / 64.0) > 10e6;
+  SimilarityMatrix sim = ComputeSimilarityMatrix(
+      g, queries, index,
+      sketch ? SimilarityMode::kSketch : SimilarityMode::kExact);
   return sim.Average();
 }
 

@@ -155,6 +155,20 @@ TEST(BatchEnum, PhaseTimersAreFilled) {
   EXPECT_GE(stats.build_index_seconds, 0.0);
   EXPECT_GT(stats.num_clusters, 0u);
   EXPECT_EQ(stats.paths_emitted, 3u + 3 + 1 + 2 + 2);
+  // ClusterQuery is reported split into the µ matrix and the linkage.
+  EXPECT_GT(stats.similarity_seconds, 0.0);
+  EXPECT_GE(stats.linkage_seconds, 0.0);
+  EXPECT_EQ(stats.cluster_seconds,
+            stats.similarity_seconds + stats.linkage_seconds);
+  // At most C(5, 2) pairs are evaluated, and the figure's queries overlap.
+  EXPECT_GT(stats.similarity_pairs, 0u);
+  EXPECT_LE(stats.similarity_pairs, 10u);
+  BatchStats sum;
+  sum.Accumulate(stats);
+  sum.Accumulate(stats);
+  EXPECT_EQ(sum.similarity_pairs, 2 * stats.similarity_pairs);
+  EXPECT_EQ(sum.linkage_seconds, 2 * stats.linkage_seconds);
+  EXPECT_NE(stats.ToString().find("linkage="), std::string::npos);
 }
 
 }  // namespace

@@ -193,6 +193,7 @@ void ExpectCountersEqual(const BatchStats& a, const BatchStats& b,
   EXPECT_EQ(a.join_rejected, b.join_rejected) << what;
   EXPECT_EQ(a.join_index_rebuilds, b.join_index_rebuilds) << what;
   EXPECT_EQ(a.num_clusters, b.num_clusters) << what;
+  EXPECT_EQ(a.similarity_pairs, b.similarity_pairs) << what;
   EXPECT_EQ(a.sharing_nodes, b.sharing_nodes) << what;
   EXPECT_EQ(a.dominating_nodes, b.dominating_nodes) << what;
   EXPECT_EQ(a.shortcut_splices, b.shortcut_splices) << what;

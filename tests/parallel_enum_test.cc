@@ -70,6 +70,7 @@ void ExpectParallelMatchesSequential(
   EXPECT_EQ(seq_stats.join_probes, par_stats.join_probes);
   EXPECT_EQ(seq_stats.join_rejected, par_stats.join_rejected);
   EXPECT_EQ(seq_stats.num_clusters, par_stats.num_clusters);
+  EXPECT_EQ(seq_stats.similarity_pairs, par_stats.similarity_pairs);
   EXPECT_EQ(seq_stats.sharing_nodes, par_stats.sharing_nodes);
   EXPECT_EQ(seq_stats.dominating_nodes, par_stats.dominating_nodes);
   EXPECT_EQ(seq_stats.shortcut_splices, par_stats.shortcut_splices);

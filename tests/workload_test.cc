@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bfs/bfs.h"
 #include "workload/dataset_registry.h"
 #include "workload/query_gen.h"
@@ -67,6 +69,61 @@ TEST(SimilarityGen, HitsLowAndHighTargets) {
   EXPECT_EQ(high->queries.size(), 40u);
   // The generator must produce clearly separated similarity levels.
   EXPECT_GT(high->achieved_mu - low->achieved_mu, 0.2);
+}
+
+/// FNV-1a over the generated (s, t, k) triples and the bits of µ_Q.
+uint64_t QuerySetHash(const SimilarQuerySet& set) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const PathQuery& q : set.queries) {
+    mix(q.s);
+    mix(q.t);
+    mix(static_cast<uint64_t>(q.k));
+  }
+  uint64_t mu_bits;
+  static_assert(sizeof(mu_bits) == sizeof(set.achieved_mu));
+  std::memcpy(&mu_bits, &set.achieved_mu, sizeof(mu_bits));
+  mix(mu_bits);
+  return h;
+}
+
+TEST(SimilarityGen, GoldenQuerySets) {
+  // The generator's bisection measures µ_Q with a fixed mode rule (sketch
+  // once |Q|^2 * |V|/64 > 1e7, else exact), independent of the clustering
+  // cost rule, so a given graph and seed keep drawing the same batches.
+  // The first case measures exactly; the other two sketch sets of more
+  // than 256 vertices, where kAuto would count exactly (ScanCount) and
+  // draw other batches or report another µ_Q. The hashes were recorded
+  // before ComputeSimilarityMatrix gained ScanCount.
+  struct Case {
+    double scale;
+    size_t count;
+    int k_min, k_max;
+    double target_mu;
+    uint64_t seed;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {0.3, 60, 3, 4, 0.5, 31, 0x4f1b1656ee40a68aULL},
+      {1.0, 100, 4, 7, 0.3, 61, 0xc57344c4f907710fULL},
+      {1.0, 100, 4, 7, 0.0, 61, 0x27b6e55dfef764cbULL},
+  };
+  for (const Case& c : cases) {
+    auto g = MakeDataset("EP", c.scale, 11);
+    ASSERT_TRUE(g.ok());
+    Rng rng(c.seed);
+    auto set = GenerateQueriesWithSimilarity(*g, c.count, c.k_min, c.k_max,
+                                             c.target_mu, rng);
+    ASSERT_TRUE(set.ok()) << set.status();
+    EXPECT_EQ(QuerySetHash(*set), c.want)
+        << c.count << " queries: got 0x" << std::hex << QuerySetHash(*set)
+        << " (mu " << set->achieved_mu << ")";
+  }
 }
 
 TEST(SimilarityGen, RejectsImpossibleTarget) {
